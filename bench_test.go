@@ -195,9 +195,10 @@ func BenchmarkMaglevLookupHot(b *testing.B) {
 	}
 }
 
-// BenchmarkMaglevRebuild measures the controller's table-patch cost — what
-// each α-shift pays.
-func BenchmarkMaglevRebuild(b *testing.B) {
+// BenchmarkLatencyAwareObserve measures LatencyAware.ObserveLatency with
+// the worst server alternating so the weights keep moving; each α-shift
+// pays the table patch.
+func BenchmarkLatencyAwareObserve(b *testing.B) {
 	la, err := control.NewLatencyAware(control.LatencyAwareConfig{
 		Backends: []string{"s0", "s1", "s2", "s3"},
 		Alpha:    0.10, TableSize: 4093,
@@ -329,11 +330,9 @@ func BenchmarkFlowTableParallel(b *testing.B) {
 // baseline reproduces the old design: one global mutex held across the
 // flow-table lookup, estimator update, AND the policy's sample handling
 // (EWMA update plus occasional Maglev table rebuild — all inline on the
-// read path). The funnel variant replaced that with a sharded table
-// observe plus a channel handoff to a consumer goroutine; the controller
-// variant — the current proxy path — batches samples in per-shard
-// accumulators merged once per control tick, with the flow hash computed
-// once and reused across both stages.
+// read path). The controller variant — the current proxy path — batches
+// samples in per-shard accumulators merged once per control tick, with the
+// flow hash computed once and reused across both stages.
 func BenchmarkMeasurementPathParallel(b *testing.B) {
 	newLA := func(b *testing.B) *control.LatencyAware {
 		la, err := control.NewLatencyAware(control.LatencyAwareConfig{
@@ -379,28 +378,9 @@ func BenchmarkMeasurementPathParallel(b *testing.B) {
 			}
 		})
 	})
-	b.Run("sharded-funnel", func(b *testing.B) {
-		tbl := core.MustSharded(core.FlowTableConfig{}, runtime.GOMAXPROCS(0))
-		funnel := control.NewFunnel(newLA(b), 0)
-		defer funnel.Close()
-		var workerIDs atomic.Int64
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			w := int(workerIDs.Add(1))
-			keys := benchWorkerKeys(w)
-			now := time.Duration(0)
-			for i := 0; pb.Next(); i++ {
-				now = step(now, i)
-				sample, ok := tbl.Observe(keys[i%len(keys)], now)
-				if ok {
-					funnel.ObserveLatency(w%4, now, sample)
-				}
-			}
-		})
-	})
 	// The current proxy path: one hash per packet reused for flow-shard
 	// selection and sample aggregation, samples batched shard-locally and
-	// merged by a background control tick instead of a channel handoff.
+	// merged by a background control tick.
 	b.Run("sharded-controller", func(b *testing.B) {
 		tbl := core.MustSharded(core.FlowTableConfig{}, runtime.GOMAXPROCS(0))
 		ctrl := control.NewController(newLA(b), control.ControllerConfig{
@@ -774,75 +754,6 @@ func BenchmarkProxyDietConcurrentConns(b *testing.B) {
 				}
 			})
 			b.StopTimer()
-			reportRelaySyscalls(b, proxy, b.N)
-		})
-	}
-}
-
-// BenchmarkProxyNetpollConcurrentConns runs the diet workload through both
-// dataplanes — goroutine-per-connection relays and the event-driven epoll
-// state machines — under the otherwise-identical full diet configuration.
-// The goroutines gauge is the scheduler diet itself: the netpoll mode holds
-// O(acceptor shards) relay goroutines regardless of client parallelism.
-func BenchmarkProxyNetpollConcurrentConns(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		netpoll bool
-	}{{"goroutine", false}, {"netpoll", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var backends []string
-			for i := 0; i < 2; i++ {
-				srv := memcache.NewServer()
-				if err := srv.Listen("127.0.0.1:0"); err != nil {
-					b.Fatal(err)
-				}
-				go func() { _ = srv.Serve() }()
-				defer srv.Close()
-				backends = append(backends, srv.Addr().String())
-			}
-			la, err := control.NewLatencyAware(control.LatencyAwareConfig{
-				Backends: []string{"b0", "b1"}, Alpha: 0.1, TableSize: 1021,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			proxy, err := lbproxy.New(lbproxy.Config{
-				Backends:    backends,
-				Policy:      la,
-				Shards:      runtime.GOMAXPROCS(0),
-				Acceptors:   runtime.GOMAXPROCS(0),
-				Splice:      true,
-				Netpoll:     mode.netpoll,
-				PoolIdle:    64,
-				PoolQuiesce: 50 * time.Microsecond,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := proxy.Listen("127.0.0.1:0"); err != nil {
-				b.Fatal(err)
-			}
-			go func() { _ = proxy.Serve() }()
-			defer proxy.Close()
-			addr := proxy.Addr().String()
-
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				cli, err := memcache.Dial(addr, 2*time.Second)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				defer cli.Close()
-				for pb.Next() {
-					if err := cli.Set("bench", []byte("v")); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			b.ReportMetric(float64(runtime.NumGoroutine()), "goroutines")
 			reportRelaySyscalls(b, proxy, b.N)
 		})
 	}

@@ -55,18 +55,16 @@ func main() {
 		drainTO     = flag.Duration("drain-timeout", 0, "grace period for in-flight connections on shutdown (0 = immediate)")
 		acceptors   = flag.Int("acceptors", 1, "parallel accept loops (SO_REUSEPORT listener shards on Linux)")
 		splice      = flag.Bool("splice", true, "zero-copy splice(2) relay on Linux (falls back to buffer copies elsewhere)")
-		netpoll     = flag.Bool("netpoll", false, "event-driven epoll dataplane on Linux: O(acceptors) relay goroutines instead of 2 per connection (falls back to goroutine relays elsewhere)")
 		poolIdle    = flag.Int("pool-idle", 0, "max idle pooled connections per backend (0 = pooling off)")
 		poolMaxAge  = flag.Duration("pool-max-age", 30*time.Second, "evict pooled backend connections older than this (0 = no cap)")
 		congSignals = flag.Bool("congestion-signals", false, "sample TCP_INFO retransmissions per relayed backend connection and feed them to the passive detector as transport-distress evidence (Linux; no-op elsewhere)")
 		congEvery   = flag.Duration("congestion-sample-interval", 0, "TCP_INFO polling cadence (0 = default 25ms)")
 		congPerTick = flag.Int64("congestion-per-tick", 0, "congestion events per control tick that mark a backend hot (0 = default 1 when -congestion-signals)")
 		congTicks   = flag.Int("congestion-ticks", 0, "consecutive hot ticks before the congestion weight-down; 2x ejects (0 = default 4)")
-		statusAddr  = flag.String("status-addr", "", "serve JSON status at http://<addr>/ (empty = off)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof at this address (e.g. localhost:6060; empty = off)")
 		auditPath   = flag.String("audit-log", "", "write a hash-chained decision audit log to this file (empty = off)")
 		auditBuffer = flag.Int("audit-buffer", 0, "audit ring capacity in records; decisions beyond it are shed, counted, and marked in the log (0 = default 1024)")
-		adminAddr   = flag.String("admin", "", "serve the admin surface (/metrics Prometheus text, /decisions audit tail, /config live detector reload) at this address (empty = off)")
+		adminAddr   = flag.String("admin", "", "serve the admin surface (/status JSON snapshot, /metrics Prometheus text, /decisions audit tail, /config live detector reload) at this address (empty = off)")
 	)
 	flag.Parse()
 
@@ -114,7 +112,6 @@ func main() {
 		DrainTimeout:             *drainTO,
 		Acceptors:                *acceptors,
 		Splice:                   *splice,
-		Netpoll:                  *netpoll,
 		PoolIdle:                 *poolIdle,
 		PoolMaxAge:               *poolMaxAge,
 		CongestionSignals:        *congSignals,
@@ -143,28 +140,19 @@ func main() {
 	}
 	fmt.Printf("lbproxy: %s on %s -> %v\n", pol.Name(), proxy.Addr(), addrs)
 
-	if *statusAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*statusAddr, proxy.StatusHandler()); err != nil {
-				fmt.Fprintf(os.Stderr, "lbproxy: status server: %v\n", err)
-			}
-		}()
-		fmt.Printf("lbproxy: status at http://%s/\n", *statusAddr)
-	}
-
 	if *adminAddr != "" {
 		go func() {
 			if err := http.ListenAndServe(*adminAddr, proxy.AdminHandler()); err != nil {
 				fmt.Fprintf(os.Stderr, "lbproxy: admin server: %v\n", err)
 			}
 		}()
-		fmt.Printf("lbproxy: admin at http://%s/metrics (also /decisions, /config)\n", *adminAddr)
+		fmt.Printf("lbproxy: admin at http://%s/status (also /metrics, /decisions, /config)\n", *adminAddr)
 	}
 
 	if *pprofAddr != "" {
 		// A dedicated listener on the DefaultServeMux (where the
-		// net/http/pprof import registers), separate from -status-addr so
-		// the profiling surface is never exposed on the status port.
+		// net/http/pprof import registers), separate from -admin so the
+		// profiling surface is never exposed on the admin port.
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "lbproxy: pprof listener: %v\n", err)

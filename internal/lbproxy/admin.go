@@ -14,6 +14,9 @@ import (
 
 // The admin surface is the operational control plane for a running proxy:
 //
+//	GET  /status     The live StatusSnapshot as JSON: weights, per-backend
+//	                 latencies, health, and counters, for dashboards and
+//	                 debugging.
 //	GET  /metrics    Prometheus text exposition: every Stats counter plus
 //	                 per-backend routing state (connections, down bit,
 //	                 health-state, admission fraction, weight) and audit
@@ -28,8 +31,9 @@ import (
 //	                 resetting in-flight recovery state machines.
 //
 // All of it is stdlib-only, served off the data path: /metrics reads
-// atomics and one RCU snapshot, /decisions copies a bounded tail under its
-// own mutex, /config serializes with the controller like any other
+// atomics and one RCU snapshot, /status reads policy state under the
+// controller's serialization lock, /decisions copies a bounded tail under
+// its own mutex, /config serializes with the controller like any other
 // control-plane caller.
 
 // auditTailer is the slice of the async audit sink the admin endpoints
@@ -57,10 +61,18 @@ func (p *Proxy) DetectorConfig() (control.DetectorConfig, bool) {
 // AdminHandler serves the admin surface documented above.
 func (p *Proxy) AdminHandler() http.Handler {
 	mux := http.NewServeMux()
+	mux.HandleFunc("/status", p.handleStatus)
 	mux.HandleFunc("/metrics", p.handleMetrics)
 	mux.HandleFunc("/decisions", p.handleDecisions)
 	mux.HandleFunc("/config", p.handleConfig)
 	return mux
+}
+
+func (p *Proxy) handleStatus(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(p.Snapshot())
 }
 
 func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -172,18 +184,6 @@ func (p *Proxy) writeMetrics(w io.Writer) {
 		m.sample("lbproxy_audit_written_total", "", float64(tail.Written()))
 		m.family("lbproxy_audit_sheds_total", "Decision records shed because the audit ring was full.", "counter")
 		m.sample("lbproxy_audit_sheds_total", "", float64(tail.Sheds()))
-	}
-
-	np := st.Netpoll
-	if len(np) > 0 {
-		m.family("lbproxy_netpoll_wakeups_total", "epoll_wait wakeups per poller shard.", "counter")
-		for i, s := range np {
-			m.sample("lbproxy_netpoll_wakeups_total", `shard="`+strconv.Itoa(i)+`"`, float64(s.Wakeups))
-		}
-		m.family("lbproxy_netpoll_registered_fds", "Registered fds per poller shard.", "gauge")
-		for i, s := range np {
-			m.sample("lbproxy_netpoll_registered_fds", `shard="`+strconv.Itoa(i)+`"`, float64(s.RegisteredFDs))
-		}
 	}
 }
 

@@ -345,3 +345,60 @@ func TestAdminAuditLogSealsOnClose(t *testing.T) {
 		t.Errorf("first record %v, want the initial publish", logged.Records[0].Kind)
 	}
 }
+
+// TestAdminStatus checks the admin mux's GET /status serves the proxy's
+// StatusSnapshot as JSON.
+func TestAdminStatus(t *testing.T) {
+	_, b0 := startBackend(t)
+	_, b1 := startBackend(t)
+	la, err := control.NewLatencyAware(control.LatencyAwareConfig{
+		Backends: []string{"a", "b"}, Alpha: 0.1, TableSize: 1021,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy, paddr := startProxy(t, la, b0, b1)
+
+	// Generate a little traffic so counters are non-zero.
+	c, err := memcache.Dial(paddr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = c.Set("k", []byte("v"))
+	_ = c.Close()
+
+	srv := httptest.NewServer(proxy.AdminHandler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("content-type = %q", ct)
+	}
+	var snap StatusSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Policy != "latency-aware" {
+		t.Errorf("policy = %q", snap.Policy)
+	}
+	if len(snap.Backends) != 2 || len(snap.Weights) != 2 || len(snap.LatenciesMs) != 2 {
+		t.Errorf("snapshot shape: backends=%d weights=%d latencies=%d",
+			len(snap.Backends), len(snap.Weights), len(snap.LatenciesMs))
+	}
+	if snap.Stats.Accepted != 1 {
+		t.Errorf("accepted = %d", snap.Stats.Accepted)
+	}
+	if snap.UptimeSeconds <= 0 {
+		t.Error("uptime not positive")
+	}
+
+	// A weightless policy omits the optional fields.
+	proxy2, _ := startProxy(t, control.NewRoundRobin(2), b0, b1)
+	snap2 := proxy2.Snapshot()
+	if snap2.Weights != nil || snap2.LatenciesMs != nil {
+		t.Error("round robin should not report weights/latencies")
+	}
+}

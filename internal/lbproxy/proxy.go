@@ -139,17 +139,6 @@ type Config struct {
 	// unchanged — every request-direction chunk arrival is still
 	// timestamped, it just is not copied.
 	Splice bool
-	// Netpoll enables the event-driven dataplane on Linux: one epoll
-	// readiness loop per acceptor shard drives every relayed connection as
-	// a compact state machine (O(shards) goroutines instead of O(2·conns)),
-	// with idle/drain deadlines on a per-shard timing wheel instead of
-	// per-conn SetDeadline. Non-Linux builds, kernels without epoll
-	// (latched on ENOSYS), and connections without raw-fd access (chaos
-	// wrappers, test pipes) fall back to the goroutine-per-connection path
-	// transparently. Estimator semantics are unchanged: the first request
-	// chunk stays in userspace and every request-direction readiness event
-	// is observed exactly as a Read on the goroutine path would be.
-	Netpoll bool
 	// PoolIdle enables backend connection pooling when > 0: up to PoolIdle
 	// idle connections are kept per backend (probed live at checkout) so a
 	// client connection does not always pay a fresh dial. Zero disables
@@ -236,17 +225,6 @@ type Stats struct {
 	// CongSamples counts successful TCP_INFO reads, CongRetrans the total
 	// retransmitted segments attributed to backends through them.
 	CongSamples, CongRetrans uint64
-	// Netpoll holds per-shard poller counters when the event-driven
-	// dataplane is active; nil otherwise.
-	Netpoll []NetpollShardStats
-}
-
-// NetpollShardStats are one poller shard's counters: epoll_wait wakeups,
-// timing-wheel fires, and currently registered fds.
-type NetpollShardStats struct {
-	Wakeups       uint64 `json:"wakeups"`
-	TimerFires    uint64 `json:"timer_fires"`
-	RegisteredFDs int64  `json:"registered_fds"`
 }
 
 // Proxy is a running load balancer instance.
@@ -257,7 +235,6 @@ type Proxy struct {
 	flows *core.ShardedFlowTable
 	ctrl  *control.Controller
 	pool  *dialpool.Pool // nil unless Config.PoolIdle > 0
-	np    []*npShard     // event-loop shards; nil unless Config.Netpoll works here
 	start time.Time
 
 	// bufs recycles relay buffers (up to two per connection,
@@ -377,9 +354,6 @@ func New(cfg Config) (*Proxy, error) {
 			MaxAge:            cfg.PoolMaxAge,
 		})
 	}
-	if cfg.Netpoll {
-		p.netpollInit() // leaves p.np nil (goroutine dataplane) if epoll is unusable
-	}
 	return p, nil
 }
 
@@ -417,7 +391,6 @@ func (p *Proxy) Stats() Stats {
 		PoolRecycled:        p.poolRecycled.Load(),
 		CongSamples:         p.congSamples.Load(),
 		CongRetrans:         p.congRetrans.Load(),
-		Netpoll:             p.netpollStats(),
 	}
 	if p.pool != nil {
 		ps := p.pool.Stats()
@@ -563,11 +536,6 @@ func (p *Proxy) Close() error {
 	}
 	p.connMu.Unlock()
 	p.wg.Wait()
-	// Netpoll relays are owned by the pollers, not wg: every handoff Post
-	// happened-before wg.Wait returned, so stopping the pollers here
-	// finalizes every relay (idle ones included) with all samples flushed
-	// into the aggregator before the controller's final tick below.
-	p.netpollStop()
 	if p.pool != nil {
 		p.pool.Close()
 	}
@@ -616,14 +584,7 @@ func (p *Proxy) dialFailover(backend int, charged *bool) (net.Conn, int) {
 }
 
 func (p *Proxy) handle(client net.Conn, acceptor int) {
-	// handedOff flips when the connection pair moves to a poller shard: the
-	// npRelay owns both conns and all remaining accounting from then on, so
-	// this goroutine's cleanup must not touch them.
-	handedOff := false
 	defer func() {
-		if handedOff {
-			return
-		}
 		client.Close()
 		p.connMu.Lock()
 		delete(p.open, client)
@@ -689,19 +650,9 @@ func (p *Proxy) handle(client net.Conn, acceptor int) {
 	if p.closed.Load() {
 		server.Close()
 	}
-	// Congestion sampling follows the backend connection from here. The
-	// netpoll path has no teardown hook in this goroutine; its entries
-	// leave the registry when sampling the closed fd fails.
+	// Congestion sampling follows the backend connection from here until
+	// the final sample at teardown.
 	p.congRegister(server, backend, hash)
-
-	// Event-driven dataplane: hand the pair to this acceptor's poller shard.
-	// The handoff point is before pooled validation — the npRelay runs the
-	// validation write itself when the first chunk arrives, so until then the
-	// connection pins no goroutine at all.
-	if p.netpollHandoff(client, server, backend, acceptor, hash, key, charged, fromPool, born) {
-		handedOff = true
-		return
-	}
 
 	// Pooled-connection validation: relay the first client chunk through
 	// userspace before committing counters. The checkout probe proved the

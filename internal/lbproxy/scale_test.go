@@ -34,19 +34,6 @@ var stressConns = flag.Int("stress.conns", 0, "target concurrent connections for
 // the ephemeral-port space per (src,dst) tuple is never the binding
 // constraint; in this harness the fd rlimit is.
 func TestProxyConnScaleStress(t *testing.T) {
-	runConnScaleStress(t, false)
-}
-
-// TestProxyConnScaleStressNetpoll is the same fleet held by the
-// event-driven dataplane: O(acceptor shards) poller goroutines own every
-// relay instead of two goroutines per connection. Beyond the shared
-// accounting identities it asserts the goroutine count stays far below
-// the connection count while the fleet is parked.
-func TestProxyConnScaleStressNetpoll(t *testing.T) {
-	runConnScaleStress(t, true)
-}
-
-func runConnScaleStress(t *testing.T, netpoll bool) {
 	if *stressConns == 0 {
 		t.Skip("scale stress: set -stress.conns=N to run")
 	}
@@ -70,14 +57,9 @@ func runConnScaleStress(t *testing.T, netpoll bool) {
 		Shards:    4,
 		Acceptors: 4,
 		Splice:    true,
-		Netpoll:   netpoll,
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if netpoll && len(proxy.np) == 0 {
-		_ = proxy.Close()
-		t.Skip("netpoll dataplane unavailable on this platform")
 	}
 	if err := proxy.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -88,10 +70,6 @@ func runConnScaleStress(t *testing.T, netpoll bool) {
 
 	// Establish the fleet: each connection sends one greeting so the
 	// estimator observes its first byte and the relay then parks.
-	// baseGoroutines is the pre-fleet floor; the hold backends add one
-	// swallow-loop goroutine per proxied connection on top of it, which the
-	// netpoll budget check below subtracts back out.
-	baseGoroutines := runtime.NumGoroutine()
 	greeting := []byte("hold 0123456789abcdef 0123456789abcdef\r\n")
 	conns := make([]net.Conn, 0, target)
 	defer func() {
@@ -130,27 +108,6 @@ func runConnScaleStress(t *testing.T, netpoll bool) {
 			Active                                 int64
 		}{
 			st.Accepted, st.Samples, st.DialErrors, st.Dropped, st.Active})
-	if netpoll {
-		t.Logf("netpoll shards: %+v", st.Netpoll)
-		// The event-driven dataplane's whole point: the fleet is parked on
-		// epoll, not on 2N relay goroutine stacks. The in-process hold
-		// backends pin one goroutine per connection; everything above that
-		// is the proxy's share, which must be O(shards), not O(conns).
-		relayGoroutines := goroutines - baseGoroutines - target
-		t.Logf("proxy-side goroutines beyond backends: %d (goroutine path would pin ~%d)",
-			relayGoroutines, 2*target)
-		if target >= 1000 && relayGoroutines > target/10 {
-			t.Errorf("netpoll fleet pinned %d proxy goroutines for %d conns, want O(shards)",
-				relayGoroutines, target)
-		}
-		var reg int64
-		for _, sh := range st.Netpoll {
-			reg += sh.RegisteredFDs
-		}
-		if reg < int64(target) {
-			t.Errorf("registered fds = %d across shards, want >= %d", reg, target)
-		}
-	}
 	if st.Active != int64(target) {
 		t.Fatalf("active = %d, want %d", st.Active, target)
 	}

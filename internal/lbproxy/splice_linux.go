@@ -18,7 +18,7 @@ import (
 //
 // The state machine per chunk is:
 //
-//	park on src readability (netpoller, honors the idle deadline)
+//	park on src readability (runtime poller, honors the idle deadline)
 //	  → splice src→pipe   (EAGAIN: release pipe, re-park)
 //	  → onChunk()         (the estimator's arrival timestamp)
 //	  → splice pipe→dst until the pipe is drained (parking on dst

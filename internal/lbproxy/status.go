@@ -1,8 +1,6 @@
 package lbproxy
 
 import (
-	"encoding/json"
-	"net/http"
 	"runtime"
 	"time"
 
@@ -10,7 +8,8 @@ import (
 	"inbandlb/internal/core"
 )
 
-// StatusSnapshot is the JSON document served by the status handler.
+// StatusSnapshot is the JSON document served by the admin surface's
+// GET /status.
 type StatusSnapshot struct {
 	UptimeSeconds float64  `json:"uptime_seconds"`
 	Policy        string   `json:"policy"`
@@ -20,9 +19,8 @@ type StatusSnapshot struct {
 	FlowTableShards int   `json:"flow_table_shards"`
 	TrackedFlows    int   `json:"tracked_flows"`
 	Stats           Stats `json:"stats"`
-	// Goroutines is a live runtime.NumGoroutine gauge. Under the netpoll
-	// dataplane it stays O(shards) regardless of connection count; on the
-	// goroutine-per-connection path it tracks 2x the active relays.
+	// Goroutines is a live runtime.NumGoroutine gauge; it tracks 2x the
+	// active relays (one goroutine per direction).
 	Goroutines int `json:"goroutines"`
 	// SnapshotGeneration counts routing-snapshot publications (table
 	// rebuilds merged by control ticks plus health-eject flips); zero for
@@ -72,15 +70,4 @@ func (p *Proxy) Snapshot() StatusSnapshot {
 		}
 	})
 	return snap
-}
-
-// StatusHandler serves the proxy's live state as JSON — weights, per-backend
-// latencies, health, and counters — for dashboards and debugging.
-func (p *Proxy) StatusHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(p.Snapshot())
-	})
 }

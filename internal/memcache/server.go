@@ -103,6 +103,10 @@ func (s *Server) Listen(addr string) error {
 	return nil
 }
 
+// UseListener adopts an already-bound listener in place of Listen — e.g.
+// one wrapped with fault injection. Use Serve to accept.
+func (s *Server) UseListener(lis net.Listener) { s.lis = lis }
+
 // Addr returns the bound address (nil before Listen).
 func (s *Server) Addr() net.Addr {
 	if s.lis == nil {

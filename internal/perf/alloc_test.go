@@ -176,38 +176,6 @@ func TestLBPacketPathZeroAlloc(t *testing.T) {
 	}, body)
 }
 
-// TestProxyMeasurementPathZeroAlloc covers what the live proxy runs on
-// every request-direction read in steady state: a sharded flow-table
-// observe plus the non-blocking funnel handoff. (The socket syscalls
-// around it are the kernel's business; this is everything the proxy itself
-// executes per read.) The funnel wraps a policy that ignores samples so
-// the consumer goroutine — whose allocations AllocsPerRun would also see —
-// stays quiet; policy-side costs are benchmarked, not gated.
-func TestProxyMeasurementPathZeroAlloc(t *testing.T) {
-	tbl := core.MustSharded(core.FlowTableConfig{}, 4)
-	funnel := control.NewFunnel(control.NewRoundRobin(4), 0)
-	defer funnel.Close()
-	keys := benchKeys()
-	now := time.Duration(0)
-	i := 0
-	body := func() {
-		now += 5 * time.Microsecond
-		if i%4 == 0 {
-			now += 500 * time.Microsecond
-		}
-		sample, ok := tbl.Observe(keys[i%len(keys)], now)
-		if ok {
-			funnel.ObserveLatency(i%4, now, sample)
-		}
-		i++
-	}
-	assertZeroAllocs(t, "proxy measurement path", func() {
-		for j := 0; j < 4*len(keys); j++ {
-			body()
-		}
-	}, body)
-}
-
 // TestSnapshotPickZeroAlloc covers the tentpole's data-plane guarantee: a
 // Controller wrapping a table-based policy serves Pick and Route as pure
 // snapshot reads — zero allocations, no mutex (a mutex would not show up
@@ -325,9 +293,9 @@ func TestControllerTickZeroAllocWhenIdle(t *testing.T) {
 
 // TestControllerMeasurementPathZeroAlloc is the proxy's current per-read
 // pipeline as a hard invariant: sharded flow-table observe (prehashed, as
-// the proxy calls it) plus the controller's shard-local sample fold. This
-// supersedes the funnel variant above as the path the live proxy actually
-// runs; both stay gated while the funnel remains supported.
+// the proxy calls it) plus the controller's shard-local sample fold — what
+// the live proxy executes per read. (The socket syscalls around it are the
+// kernel's business.)
 func TestControllerMeasurementPathZeroAlloc(t *testing.T) {
 	tbl := core.MustSharded(core.FlowTableConfig{}, 4)
 	ctrl := control.NewController(control.NewRoundRobin(4), control.ControllerConfig{Shards: 4})
