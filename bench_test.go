@@ -325,24 +325,11 @@ func BenchmarkFlowTableParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkMeasurementPathParallel compares the proxy's full per-read
-// measurement pipeline before and after the concurrency rework. The
-// baseline reproduces the old design: one global mutex held across the
-// flow-table lookup, estimator update, AND the policy's sample handling
-// (EWMA update plus occasional Maglev table rebuild — all inline on the
-// read path). The controller variant — the current proxy path — batches
-// samples in per-shard accumulators merged once per control tick, with the
-// flow hash computed once and reused across both stages.
+// BenchmarkMeasurementPathParallel measures the proxy's full per-read
+// measurement pipeline: one hash per packet reused for flow-shard
+// selection and sample aggregation, samples batched shard-locally and
+// merged by a background control tick.
 func BenchmarkMeasurementPathParallel(b *testing.B) {
-	newLA := func(b *testing.B) *control.LatencyAware {
-		la, err := control.NewLatencyAware(control.LatencyAwareConfig{
-			Backends: []string{"b0", "b1", "b2", "b3"}, Alpha: 0.1, TableSize: 1021,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return la
-	}
 	// Timing pattern from BenchmarkEstimatorPerPacket: mostly 5 µs gaps
 	// with a 500 µs batch boundary every 4th packet, so the estimator
 	// actually produces samples and the policy actually does work.
@@ -353,37 +340,15 @@ func BenchmarkMeasurementPathParallel(b *testing.B) {
 		}
 		return now
 	}
-
-	b.Run("global-mutex", func(b *testing.B) {
-		ft, err := core.NewFlowTable(core.FlowTableConfig{})
+	b.Run("sharded-controller", func(b *testing.B) {
+		la, err := control.NewLatencyAware(control.LatencyAwareConfig{
+			Backends: []string{"b0", "b1", "b2", "b3"}, Alpha: 0.1, TableSize: 1021,
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		la := newLA(b)
-		var mu sync.Mutex
-		var workerIDs atomic.Int64
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			w := int(workerIDs.Add(1))
-			keys := benchWorkerKeys(w)
-			now := time.Duration(0)
-			for i := 0; pb.Next(); i++ {
-				now = step(now, i)
-				mu.Lock()
-				sample, ok := ft.Observe(keys[i%len(keys)], now)
-				if ok {
-					la.ObserveLatency(w%4, now, sample)
-				}
-				mu.Unlock()
-			}
-		})
-	})
-	// The current proxy path: one hash per packet reused for flow-shard
-	// selection and sample aggregation, samples batched shard-locally and
-	// merged by a background control tick.
-	b.Run("sharded-controller", func(b *testing.B) {
 		tbl := core.MustSharded(core.FlowTableConfig{}, runtime.GOMAXPROCS(0))
-		ctrl := control.NewController(newLA(b), control.ControllerConfig{
+		ctrl := control.NewController(la, control.ControllerConfig{
 			Shards: runtime.GOMAXPROCS(0), Interval: 2 * time.Millisecond,
 		})
 		ctrl.Start()

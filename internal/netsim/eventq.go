@@ -53,6 +53,13 @@ func (q *eventQueue) pop() event {
 	return root
 }
 
+// replaceMin overwrites the minimum event with e and restores the heap
+// property: a pop and a push for the price of one sift.
+func (q *eventQueue) replaceMin(e event) {
+	q.ev[0] = e
+	q.siftDown(0)
+}
+
 // siftUp restores the heap property from leaf i toward the root. The moved
 // element is held in a register and written once at its final slot (hole
 // percolation) instead of swapping at every level.

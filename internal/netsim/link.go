@@ -25,14 +25,22 @@ type Link struct {
 	// Rate is the line rate in bytes per second (0 = infinite).
 	Rate float64
 	// QueueLimit bounds packets waiting for transmission (0 = unlimited).
-	// Packets arriving at a full queue are dropped (tail drop).
+	// Packets arriving at a full queue are dropped (tail drop). Set it
+	// before traffic flows: the queue is only tracked while a limit is
+	// set, so packets sent before it is raised from zero are not counted.
 	QueueLimit int
 
 	dst       Handler
 	busyUntil time.Duration // when the transmitter frees up
-	queued    int           // packets waiting to start transmission
+	queued    int           // packets waiting to start transmission (QueueLimit > 0 only)
 	stats     LinkStats
 
+	// arrivals and starts carry the link's two event streams, so only
+	// their heads occupy the simulator's heap. Starts never go backwards;
+	// arrivals do only when jitter or a falling extra delay reorders them,
+	// and the lane sends those to the heap.
+	arrivals *Lane
+	starts   *Lane
 	// dequeue is the shared "transmission started" callback; allocated
 	// once so Send schedules it without constructing a closure per packet.
 	dequeue func()
@@ -70,7 +78,8 @@ func NewLink(sim *Sim, name string, delay time.Duration, rate float64, dst Handl
 	if rate < 0 {
 		panic("netsim: negative link rate")
 	}
-	l := &Link{sim: sim, name: name, Delay: delay, Rate: rate, dst: dst}
+	l := &Link{sim: sim, name: name, Delay: delay, Rate: rate, dst: dst,
+		arrivals: sim.NewLane(), starts: sim.NewLane()}
 	l.dequeue = func() { l.queued-- }
 	return l
 }
@@ -137,12 +146,14 @@ func (l *Link) SetRateAt(fn func(now time.Duration) float64) {
 // route-change reordering would.
 func (l *Link) Send(p *Packet) {
 	now := l.sim.Now()
-	if l.QueueLimit > 0 && l.queued >= l.QueueLimit {
-		l.stats.Dropped++
-		return
+	if l.QueueLimit > 0 {
+		if l.queued >= l.QueueLimit {
+			l.stats.Dropped++
+			return
+		}
+		l.queued++
 	}
 	l.stats.Sent++
-	l.queued++
 
 	start := l.busyUntil
 	if start < now {
@@ -160,8 +171,12 @@ func (l *Link) Send(p *Packet) {
 	}
 	l.busyUntil = start + tx
 
-	// The packet leaves the queue when its transmission begins.
-	l.sim.Schedule(start, l.dequeue)
+	// The packet leaves the queue when its transmission begins. Nothing
+	// reads the queue length without a limit, so only then is that event
+	// worth scheduling.
+	if l.QueueLimit > 0 {
+		l.starts.Schedule(start, l.dequeue)
+	}
 
 	arrival := l.busyUntil + l.Delay
 	if l.extraDelay != nil {
@@ -173,7 +188,7 @@ func (l *Link) Send(p *Packet) {
 			arrival += j
 		}
 	}
-	l.sim.Schedule(arrival, l.newDelivery(p).fn)
+	l.arrivals.Schedule(arrival, l.newDelivery(p).fn)
 }
 
 // Pipe is a convenience bundle of two opposite links between two handlers,

@@ -18,15 +18,17 @@ import (
 type Sim struct {
 	now     time.Duration
 	events  eventQueue
+	backlog int // lane entries waiting behind their lane's head
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
 }
 
 type event struct {
-	at  time.Duration
-	seq uint64 // FIFO tie-break for simultaneous events
-	fn  func()
+	at   time.Duration
+	seq  uint64 // FIFO tie-break for simultaneous events
+	fn   func()
+	lane *Lane // set on a lane head's heap proxy, whose fn the lane holds
 }
 
 // NewSim creates a simulator whose random source is seeded with seed.
@@ -46,7 +48,8 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // Schedule itself never heap-allocates (beyond amortized queue growth); a
 // closure literal passed as fn still does. Hot paths that fire the same
 // callback repeatedly should hold the func in a variable — or use a Timer —
-// so each call is allocation-free.
+// so each call is allocation-free. A source whose event times never
+// decrease should schedule through a Lane instead.
 func (s *Sim) Schedule(at time.Duration, fn func()) {
 	if at < s.now {
 		panic(fmt.Sprintf("netsim: scheduling event at %v before now %v", at, s.now))
@@ -131,12 +134,18 @@ func (s *Sim) RunUntil(t time.Duration) int {
 func (s *Sim) run(until time.Duration) int {
 	n := 0
 	for s.events.Len() > 0 && !s.stopped {
-		if until >= 0 && s.events.min().at > until {
+		top := s.events.min()
+		if until >= 0 && top.at > until {
 			break
 		}
-		e := s.events.pop()
-		s.now = e.at
-		e.fn()
+		s.now = top.at
+		fn := top.fn
+		if top.lane != nil {
+			fn = top.lane.pop()
+		} else {
+			s.events.pop()
+		}
+		fn()
 		n++
 	}
 	return n
@@ -153,5 +162,5 @@ func (s *Sim) Stopped() bool { return s.stopped }
 // Resume clears a Stop so Run/RunUntil can continue.
 func (s *Sim) Resume() { s.stopped = false }
 
-// Pending returns the number of queued events.
-func (s *Sim) Pending() int { return s.events.Len() }
+// Pending returns the number of queued events, lane entries included.
+func (s *Sim) Pending() int { return s.events.Len() + s.backlog }

@@ -9,6 +9,7 @@ package perf
 import (
 	"net"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -86,8 +87,70 @@ func TestDeepQueueScheduleZeroAlloc(t *testing.T) {
 	})
 }
 
-// TestLinkSendZeroAlloc covers one packet riding a link: Send plus the two
-// events it schedules (dequeue, delivery), dispatched to a handler.
+// TestLaneScheduleDispatchZeroAlloc covers a monotone event stream
+// scheduled through a Lane against a standing backlog: every iteration
+// adds one event 64 µs out and dispatches the one due now, so the ring
+// wraps continuously and every dispatch swaps the lane's heap proxy for
+// the next entry's.
+func TestLaneScheduleDispatchZeroAlloc(t *testing.T) {
+	sim := netsim.NewSim(1)
+	lane := sim.NewLane()
+	fired := 0
+	fn := func() { fired++ }
+	body := func() {
+		lane.After(64*time.Microsecond, fn)
+		sim.RunUntil(sim.Now() + time.Microsecond)
+	}
+	assertZeroAllocs(t, "Lane schedule+dispatch", func() {
+		for i := 0; i < 256; i++ {
+			body()
+		}
+	}, body)
+	if fired == 0 {
+		t.Fatal("callback never ran")
+	}
+}
+
+// laneEntryBytes is one pending lane entry: an event is (at, seq, fn,
+// lane), four words.
+const laneEntryBytes = 32
+
+// TestLaneMemoryBoundedByPeakBacklog streams a constant-delay lane that
+// never drains through many times its backlog. The lane's ring must stay
+// within twice the peak backlog: a backing slice that only appended, or
+// compacted too late, would grow with the stream's total length instead.
+// This bounds what lanes can add to the sim-dst workload's max_rss_mib.
+func TestLaneMemoryBoundedByPeakBacklog(t *testing.T) {
+	const backlog = 1 << 16
+	heapInUse := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heapInUse()
+	sim := netsim.NewSim(1)
+	lane := sim.NewLane()
+	fn := func() {}
+	peak := 0
+	for i := 0; i < 10*backlog; i++ {
+		lane.After(backlog*time.Microsecond, fn)
+		sim.RunUntil(sim.Now() + time.Microsecond)
+		if p := sim.Pending(); p > peak {
+			peak = p
+		}
+	}
+	grown := int64(heapInUse()) - int64(before)
+	runtime.KeepAlive(lane)
+	if limit := int64(2*peak*laneEntryBytes + 256<<10); grown > limit {
+		t.Errorf("lane retains %d B after %d events at peak backlog %d, want <= %d (2x peak)",
+			grown, 10*backlog, peak, limit)
+	}
+}
+
+// TestLinkSendZeroAlloc covers one packet riding a link: Send plus the
+// delivery it schedules, dispatched to a handler. Without a QueueLimit the
+// link schedules no transmission-start event.
 func TestLinkSendZeroAlloc(t *testing.T) {
 	sim := netsim.NewSim(1)
 	delivered := 0
@@ -102,6 +165,10 @@ func TestLinkSendZeroAlloc(t *testing.T) {
 	if delivered == 0 {
 		t.Fatal("packet never delivered")
 	}
+
+	// With a QueueLimit the transmission-start event rides along.
+	link.QueueLimit = 16
+	assertZeroAllocs(t, "Link.Send+deliver (QueueLimit)", body, body)
 }
 
 // TestEnsembleObserveZeroAlloc covers Algorithm 2's per-packet cost,

@@ -158,6 +158,12 @@ type RequestClient struct {
 	stopped  bool
 	zipf     *rand.Zipf
 
+	// deadlines and rtos carry the per-request RequestTimeout and
+	// first-attempt RTO timers. Each fires a fixed delay after its send,
+	// so both streams are monotone and only their heads sit in the heap.
+	deadlines *netsim.Lane
+	rtos      *netsim.Lane
+
 	// Zero-window burst tracking (ZeroWindowBurst): responses arriving
 	// within ZeroWindowGap of the previous one grow the burst.
 	lastRespAt time.Duration
@@ -203,10 +209,12 @@ func NewRequestClient(sim *netsim.Sim, cfg RequestConfig, out func(*netsim.Packe
 		cfg.FirstPort = 40000
 	}
 	c := &RequestClient{
-		sim:      sim,
-		cfg:      cfg,
-		out:      out,
-		nextPort: cfg.FirstPort,
+		sim:       sim,
+		cfg:       cfg,
+		out:       out,
+		nextPort:  cfg.FirstPort,
+		deadlines: sim.NewLane(),
+		rtos:      sim.NewLane(),
 		stats: RequestStats{
 			GetLatency: stats.NewDefaultHistogram(),
 			SetLatency: stats.NewDefaultHistogram(),
@@ -319,7 +327,7 @@ func (c *RequestClient) sendRequest(cn *conn) {
 		SentAt: now,
 	})
 	if c.cfg.RequestTimeout > 0 {
-		c.sim.After(c.cfg.RequestTimeout, func() {
+		c.deadlines.After(c.cfg.RequestTimeout, func() {
 			if cn.closed {
 				return
 			}
@@ -343,7 +351,7 @@ func (c *RequestClient) sendRequest(cn *conn) {
 // RetransmitMax attempts. The re-send is a transport-layer event: Sent,
 // Outstanding, and the request's deadline are untouched.
 func (c *RequestClient) armRetransmit(cn *conn, seq uint64, op netsim.Op, key uint64, attempt int, delay time.Duration) {
-	c.sim.After(delay, func() {
+	fire := func() {
 		if cn.closed || c.stopped || attempt > c.cfg.RetransmitMax {
 			return
 		}
@@ -361,7 +369,14 @@ func (c *RequestClient) armRetransmit(cn *conn, seq uint64, op netsim.Op, key ui
 			SentAt: c.sim.Now(),
 		})
 		c.armRetransmit(cn, seq, op, key, attempt+1, delay*2)
-	})
+	}
+	// First attempts all wait RetransmitTimeout, so they keep the lane
+	// monotone; backed-off re-arms do not.
+	if attempt == 1 {
+		c.rtos.After(delay, fire)
+	} else {
+		c.sim.After(delay, fire)
+	}
 }
 
 // HandlePacket receives responses (and SYN-ACKs) from servers.
