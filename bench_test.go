@@ -14,7 +14,6 @@ import (
 	"net"
 	"net/netip"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -264,30 +263,41 @@ func benchWorkerKeys(worker int) []packet.FlowKey {
 	return keys
 }
 
-// BenchmarkFlowTableParallel compares the measurement hot path under
-// parallel load: the pre-sharding design (one FlowTable behind one global
-// mutex, exactly what the proxy's per-read path used to serialize on)
-// against ShardedFlowTable with GOMAXPROCS lock stripes.
-func BenchmarkFlowTableParallel(b *testing.B) {
-	b.Run("mutex-baseline", func(b *testing.B) {
+// BenchmarkFlowTableObserve measures one thread's Observe on the unlocked
+// FlowTable the simulator uses against ShardedFlowTable with one shard. The
+// sharded call adds the key hash and an uncontended lock; the gap is why
+// the single-threaded simulator keeps the plain table.
+func BenchmarkFlowTableObserve(b *testing.B) {
+	keys := benchWorkerKeys(0)
+	b.Run("flowtable", func(b *testing.B) {
 		ft, err := core.NewFlowTable(core.FlowTableConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		var mu sync.Mutex
-		var workerIDs atomic.Int64
 		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			keys := benchWorkerKeys(int(workerIDs.Add(1)))
-			now := time.Duration(0)
-			for i := 0; pb.Next(); i++ {
-				now += 5 * time.Microsecond
-				mu.Lock()
-				ft.Observe(keys[i%len(keys)], now)
-				mu.Unlock()
-			}
-		})
+		b.ResetTimer()
+		now := time.Duration(0)
+		for i := 0; i < b.N; i++ {
+			now += 5 * time.Microsecond
+			ft.Observe(keys[i%len(keys)], now)
+		}
 	})
+	b.Run("sharded-1", func(b *testing.B) {
+		tbl := core.MustSharded(core.FlowTableConfig{}, 1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		now := time.Duration(0)
+		for i := 0; i < b.N; i++ {
+			now += 5 * time.Microsecond
+			tbl.Observe(keys[i%len(keys)], now)
+		}
+	})
+}
+
+// BenchmarkFlowTableParallel measures the measurement hot path under
+// parallel load: ShardedFlowTable with GOMAXPROCS lock stripes, hashing
+// per call and with the hash the proxy computes once per connection.
+func BenchmarkFlowTableParallel(b *testing.B) {
 	b.Run("sharded", func(b *testing.B) {
 		tbl := core.MustSharded(core.FlowTableConfig{}, runtime.GOMAXPROCS(0))
 		var workerIDs atomic.Int64

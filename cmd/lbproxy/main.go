@@ -170,8 +170,8 @@ func main() {
 				// consumer; touching the policy directly would race it.
 				snap := proxy.Snapshot()
 				st := snap.Stats
-				line := fmt.Sprintf("conns=%d active=%d samples=%d dropped=%d failovers=%d shed=%d per-backend=%v down=%v",
-					st.Accepted, st.Active, st.Samples, st.SamplesDropped, st.Failovers, st.Dropped, st.PerBackend, st.Down)
+				line := fmt.Sprintf("conns=%d active=%d samples=%d delivered=%d failovers=%d shed=%d per-backend=%v down=%v",
+					st.Accepted, st.Active, st.Samples, st.SamplesDelivered, st.Failovers, st.Dropped, st.PerBackend, st.Down)
 				if *passive {
 					line += fmt.Sprintf(" health=%v", st.Health)
 				}
@@ -210,8 +210,8 @@ func main() {
 		}
 	}
 	st := proxy.Stats()
-	fmt.Printf("lbproxy: relayed %d connections (%d estimator samples, %d dropped)\n",
-		st.Accepted, st.Samples, st.SamplesDropped)
+	fmt.Printf("lbproxy: relayed %d connections (%d estimator samples, %d delivered to the policy)\n",
+		st.Accepted, st.Samples, st.SamplesDelivered)
 	if la != nil {
 		fmt.Printf("lbproxy: controller made %d table updates, final weights %.3v\n",
 			la.Updates(), la.Weights())

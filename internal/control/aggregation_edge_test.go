@@ -1,6 +1,8 @@
 package control
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -120,6 +122,51 @@ func TestTickCrossShardMerge(t *testing.T) {
 	}
 	if s.Last != 12*time.Millisecond {
 		t.Errorf("last = %v, want 12ms", s.Last)
+	}
+}
+
+// TestTickStripeInvariant: the aggregator's stripe count is a contention
+// knob and must not change what the policy sees. One sample stream with
+// varied flow hashes, fed to a one-stripe and an eight-stripe controller,
+// must produce the same ObserveLatency calls in the same order, and the
+// same TickStats, on every tick.
+func TestTickStripeInvariant(t *testing.T) {
+	const backends = 3
+	one, eight := &recorderPolicy{n: backends}, &recorderPolicy{n: backends}
+	c1 := NewController(one, ControllerConfig{Shards: 1})
+	c8 := NewController(eight, ControllerConfig{Shards: 8})
+	defer c1.Close()
+	defer c8.Close()
+
+	rng := rand.New(rand.NewSource(14))
+	now := time.Duration(0)
+	for tick := 0; tick < 50; tick++ {
+		for i := rng.Intn(40); i > 0; i-- {
+			now += time.Duration(1+rng.Intn(50)) * time.Microsecond
+			hash, b := rng.Uint64(), rng.Intn(backends)
+			// Odd nanosecond samples, so a per-stripe mean would round
+			// differently from the per-backend mean.
+			sample := time.Duration(100_000 + rng.Intn(900_001))
+			c1.ObserveSharded(hash, b, now, sample)
+			c8.ObserveSharded(hash, b, now, sample)
+			if rng.Intn(8) == 0 {
+				zw := rng.Intn(2)
+				c1.ObserveCongestion(hash, b, 1, 0, zw)
+				c8.ObserveCongestion(hash, b, 1, 0, zw)
+			}
+		}
+		now += 2 * time.Millisecond
+		c1.Tick(now)
+		c8.Tick(now)
+		if !reflect.DeepEqual(c1.LastTick(), c8.LastTick()) {
+			t.Fatalf("tick %d: TickStats differ:\n1 stripe:  %+v\n8 stripes: %+v", tick, c1.LastTick(), c8.LastTick())
+		}
+	}
+	if len(one.backs) == 0 {
+		t.Fatal("no observations applied")
+	}
+	if !reflect.DeepEqual(one, eight) {
+		t.Fatalf("ObserveLatency calls differ: 1 stripe made %d, 8 stripes made %d", len(one.backs), len(eight.backs))
 	}
 }
 

@@ -103,20 +103,43 @@ func (a *aggregator) observeCongestion(hash uint64, b int, retrans, dupAcks, zer
 	s.mu.Unlock()
 }
 
-// drainShard copies shard i's cells into out (len >= backends) and resets
-// them, holding the shard mutex only for the copy. It returns the number of
-// samples plus congestion events drained — nonzero whenever the shard holds
-// anything the tick must merge, including congestion-only cells.
-func (a *aggregator) drainShard(i int, out []sampleCell) int64 {
-	s := &a.shards[i]
-	var n int64
-	s.mu.Lock()
-	copy(out, s.cells)
-	for j := range s.cells {
-		c := &s.cells[j]
-		n += c.count + c.retrans + c.dupAcks + c.zeroWins
-		s.cells[j] = sampleCell{}
+// merge folds o into c: counts and sums add, min/max and the newest
+// arrival combine, so the result is the cell one stripe would have held had
+// it seen both cells' samples.
+func (c *sampleCell) merge(o *sampleCell) {
+	c.retrans += o.retrans
+	c.dupAcks += o.dupAcks
+	c.zeroWins += o.zeroWins
+	if o.count == 0 {
+		return
 	}
-	s.mu.Unlock()
-	return n
+	if c.count == 0 || o.min < c.min {
+		c.min = o.min
+	}
+	if c.count == 0 || o.max > c.max {
+		c.max = o.max
+	}
+	if c.count == 0 || o.last > c.last {
+		c.last = o.last
+	}
+	c.count += o.count
+	c.sum += o.sum
+}
+
+// drainInto overwrites out (one cell per backend) with the fold of every
+// shard's cells and resets them, holding each shard mutex only for its own
+// fold. The result does not depend on how samples were spread over stripes,
+// so the stripe count — a performance knob — cannot change what the policy
+// is fed.
+func (a *aggregator) drainInto(out []sampleCell) {
+	clear(out)
+	for i := range a.shards {
+		s := &a.shards[i]
+		s.mu.Lock()
+		for j := range s.cells {
+			out[j].merge(&s.cells[j])
+			s.cells[j] = sampleCell{}
+		}
+		s.mu.Unlock()
+	}
 }

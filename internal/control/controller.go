@@ -10,7 +10,8 @@ import (
 )
 
 // Weighted is implemented by policies that expose a weight vector
-// (LatencyAware, Proportional); Controllers copy it into Snapshots.
+// (LatencyAware, Proportional, KnapsackGreedy); Controllers copy it into
+// Snapshots.
 type Weighted interface {
 	Weights() []float64
 }
@@ -56,12 +57,15 @@ type ControllerConfig struct {
 //     accumulators (see aggregator) — shard-local work, never a global
 //     lock, never a channel send, and lossless: nothing is dropped under
 //     load.
-//   - The control plane is the tick: every Interval the Controller merges
-//     all shards into the policy (one ObserveLatency per non-empty
-//     shard×backend cell, carrying the batch mean at the newest sample's
-//     timestamp), then republishes the snapshot if the policy replaced
-//     its table. Routing therefore lags policy state by at most one
-//     control interval — the staleness bound DESIGN.md documents.
+//   - The control plane is the tick: every Interval the Controller folds
+//     all shards into one sum per backend and feeds the policy one
+//     ObserveLatency per backend with samples, carrying the batch mean at
+//     the newest sample's timestamp. Folding first keeps the stripe count
+//     (GOMAXPROCS by default) out of routing: how samples spread over
+//     stripes cannot change what the policy sees. The tick then
+//     republishes the snapshot if the policy replaced its table. Routing
+//     therefore lags policy state by at most one control interval — the
+//     staleness bound DESIGN.md documents.
 //   - Health is two stacked layers. SetEjected is the manual/probe layer:
 //     a boolean veto, as before. The optional passive detector layer
 //     (ControllerConfig.Detector) consumes in-band signals — reported
@@ -82,7 +86,7 @@ type Controller struct {
 
 	mu          sync.Mutex // serializes every call into policy
 	agg         *aggregator
-	scratch     []sampleCell // drain buffer, reused every tick
+	fold        []sampleCell // per-backend sum of every stripe, reused every tick
 	lastMerge   []TickStat   // per-backend summary of the newest tick
 	congTotal   []uint64     // cumulative congestion events per backend
 	congSeen    bool         // any congestion event ever merged
@@ -141,7 +145,7 @@ func NewController(policy Policy, cfg ControllerConfig) *Controller {
 		policy:    policy,
 		cfg:       cfg,
 		agg:       newAggregator(cfg.Shards, n),
-		scratch:   make([]sampleCell, n),
+		fold:      make([]sampleCell, n),
 		lastMerge: make([]TickStat, n),
 		congTotal: make([]uint64, n),
 		manual:    make([]bool, n),
@@ -424,57 +428,36 @@ func (c *Controller) refreshAdmitLocked() {
 	}
 }
 
-// Tick runs one control interval: drain every aggregator shard into the
-// policy, run the passive detector's tick-granularity checks (latency
-// outlier, sample starvation, timer-driven state advances), then republish
-// the routing snapshot if the policy replaced its table or health state
-// changed. Safe to call concurrently with the data plane; single-threaded
+// Tick runs one control interval: fold every aggregator shard into one
+// observation per backend and apply it to the policy, run the passive
+// detector's tick-granularity checks (latency outlier, sample starvation,
+// timer-driven state advances), then republish the routing snapshot if the
+// policy replaced its table or health state changed. Safe to call concurrently with the data plane; single-threaded
 // drivers (the simulator, via the Ticker interface) call it directly with
 // their own clock.
 func (c *Controller) Tick(now time.Duration) {
 	c.mu.Lock()
 	c.lastNow = now
+	c.agg.drainInto(c.fold)
 	var applied int64
-	for i := range c.lastMerge {
-		c.lastMerge[i] = TickStat{}
-	}
-	for si := range c.agg.shards {
-		if c.agg.drainShard(si, c.scratch) == 0 {
+	for b := range c.fold {
+		cell := &c.fold[b]
+		m := &c.lastMerge[b]
+		*m = TickStat{Retrans: cell.retrans, DupAcks: cell.dupAcks, ZeroWins: cell.zeroWins}
+		if ev := cell.retrans + cell.dupAcks + cell.zeroWins; ev != 0 {
+			// Congestion merges before the count gate: a backend whose
+			// tick produced only distress events (retransmits with no
+			// completed responses — the worst case) must still be seen.
+			c.congTotal[b] += uint64(ev)
+			c.congSeen = true
+		}
+		if cell.count == 0 {
 			continue
 		}
-		for b := range c.scratch {
-			cell := &c.scratch[b]
-			if ev := cell.retrans + cell.dupAcks + cell.zeroWins; ev != 0 {
-				// Congestion merges before the count gate: a backend whose
-				// tick produced only distress events (retransmits with no
-				// completed responses — the worst case) must still be seen.
-				m := &c.lastMerge[b]
-				m.Retrans += cell.retrans
-				m.DupAcks += cell.dupAcks
-				m.ZeroWins += cell.zeroWins
-				c.congTotal[b] += uint64(ev)
-				c.congSeen = true
-			}
-			if cell.count == 0 {
-				continue
-			}
-			mean := cell.sum / time.Duration(cell.count)
-			c.policy.ObserveLatency(b, cell.last, mean)
-			applied += cell.count
-			m := &c.lastMerge[b]
-			if m.Count == 0 || cell.min < m.Min {
-				m.Min = cell.min
-			}
-			if m.Count == 0 || cell.max > m.Max {
-				m.Max = cell.max
-			}
-			if cell.last > m.Last {
-				m.Last = cell.last
-			}
-			// Mean over all of this backend's cells, weighted by count.
-			m.Mean = (m.Mean*time.Duration(m.Count) + cell.sum) / time.Duration(m.Count+cell.count)
-			m.Count += cell.count
-		}
+		m.Count, m.Min, m.Max, m.Last = cell.count, cell.min, cell.max, cell.last
+		m.Mean = cell.sum / time.Duration(cell.count)
+		c.policy.ObserveLatency(b, cell.last, m.Mean)
+		applied += cell.count
 	}
 	if c.det != nil {
 		c.detectorTickLocked(now)
@@ -944,10 +927,6 @@ func (c *Controller) Do(fn func(Policy)) {
 
 // Delivered returns how many samples ticks have applied to the policy.
 func (c *Controller) Delivered() uint64 { return c.delivered.Load() }
-
-// Dropped returns 0: shard aggregation is lossless, so no sample is ever
-// shed. The proxy reports it as Stats.SamplesDropped.
-func (c *Controller) Dropped() uint64 { return 0 }
 
 // Start launches the background tick loop at the configured Interval.
 // Idempotent; Close stops it.

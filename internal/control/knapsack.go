@@ -2,11 +2,10 @@ package control
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"inbandlb/internal/core"
-	"inbandlb/internal/maglev"
-	"inbandlb/internal/packet"
 )
 
 // KnapsackConfig parameterizes the KnapsackLB-inspired greedy weight solver.
@@ -98,16 +97,12 @@ func (k *knapCurve) fit(x0 float64) (a, c float64, ok bool) {
 // realized as a weighted Maglev table rebuild, so the dataplane consumes it
 // exactly like the α-shift controller's output.
 type KnapsackGreedy struct {
-	cfg     KnapsackConfig
-	weights []float64
-	curves  []knapCurve
-	builder *maglev.Builder
-	table   *maglev.Table
-	lat     *core.ServerLatency
+	weightedTable
+	cfg    KnapsackConfig
+	curves []knapCurve
 
 	lastSolve time.Duration
 	started   bool
-	updates   uint64
 
 	// OnUpdate, when set, observes every table rebuild.
 	OnUpdate func(now time.Duration, weights []float64)
@@ -115,17 +110,8 @@ type KnapsackGreedy struct {
 
 // NewKnapsackGreedy builds the solver.
 func NewKnapsackGreedy(cfg KnapsackConfig) (*KnapsackGreedy, error) {
-	if len(cfg.Backends) < 2 {
-		return nil, fmt.Errorf("control: knapsack needs >= 2 backends, have %d", len(cfg.Backends))
-	}
-	if cfg.TableSize == 0 {
-		cfg.TableSize = 4093
-	}
 	if cfg.MinWeight == 0 {
 		cfg.MinWeight = 0.05
-	}
-	if cfg.MinWeight < 0 || cfg.MinWeight*float64(len(cfg.Backends)) >= 1 {
-		return nil, fmt.Errorf("control: min weight %v infeasible for %d backends", cfg.MinWeight, len(cfg.Backends))
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 5 * time.Millisecond
@@ -145,51 +131,19 @@ func NewKnapsackGreedy(cfg KnapsackConfig) (*KnapsackGreedy, error) {
 	if cfg.Decay <= 0 || cfg.Decay >= 1 {
 		return nil, fmt.Errorf("control: decay %v outside (0,1)", cfg.Decay)
 	}
-	n := len(cfg.Backends)
-	builder, err := maglev.NewBuilder(cfg.TableSize, cfg.Backends)
+	wt, err := newWeightedTable("knapsack", cfg.Backends, cfg.TableSize, cfg.MinWeight, cfg.Latency)
 	if err != nil {
 		return nil, err
 	}
-	k := &KnapsackGreedy{
-		cfg:     cfg,
-		weights: make([]float64, n),
-		curves:  make([]knapCurve, n),
-		builder: builder,
-		lat:     core.NewServerLatency(n, cfg.Latency),
-	}
-	for i := range k.weights {
-		k.weights[i] = 1.0 / float64(n)
-	}
-	if err := k.rebuild(); err != nil {
-		return nil, err
-	}
-	return k, nil
+	return &KnapsackGreedy{
+		weightedTable: wt,
+		cfg:           cfg,
+		curves:        make([]knapCurve, len(cfg.Backends)),
+	}, nil
 }
 
 // Name implements Policy.
 func (k *KnapsackGreedy) Name() string { return "knapsack" }
-
-// NumBackends implements Policy.
-func (k *KnapsackGreedy) NumBackends() int { return len(k.weights) }
-
-// Pick implements Policy.
-func (k *KnapsackGreedy) Pick(key packet.FlowKey, _ time.Duration) int {
-	return k.table.Lookup(key.Hash())
-}
-
-// Weights returns a copy of the weight vector.
-func (k *KnapsackGreedy) Weights() []float64 {
-	return append([]float64(nil), k.weights...)
-}
-
-// Updates returns the number of table builds, including the initial one.
-func (k *KnapsackGreedy) Updates() uint64 { return k.updates }
-
-// Latency exposes the per-server aggregation.
-func (k *KnapsackGreedy) Latency() *core.ServerLatency { return k.lat }
-
-// FlowClosed implements Policy (affinity is the conntrack's job).
-func (k *KnapsackGreedy) FlowClosed(int, time.Duration) {}
 
 // ObserveLatency implements Policy: fold the sample into the backend's
 // latency-vs-load curve at its current operating point, then re-solve once
@@ -277,7 +231,7 @@ func (k *KnapsackGreedy) solve(now time.Duration) {
 		if next < k.cfg.MinWeight {
 			next = k.cfg.MinWeight
 		}
-		if abs64(next-k.weights[i]) > 1e-6 {
+		if math.Abs(next-k.weights[i]) > 1e-6 {
 			changed = true
 		}
 		k.weights[i] = next
@@ -306,24 +260,3 @@ func (k *KnapsackGreedy) solve(now time.Duration) {
 		}
 	}
 }
-
-func abs64(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-func (k *KnapsackGreedy) rebuild() error {
-	t, err := k.builder.Build(k.weights)
-	if err != nil {
-		return err
-	}
-	k.table = t
-	k.updates++
-	return nil
-}
-
-// Table implements TableSource: the current (immutable) routing table, for
-// snapshot publication by a Controller.
-func (k *KnapsackGreedy) Table() *maglev.Table { return k.table }

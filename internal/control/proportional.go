@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"inbandlb/internal/core"
-	"inbandlb/internal/maglev"
-	"inbandlb/internal/packet"
 )
 
 // ProportionalConfig parameterizes the multiplicative-weights controller.
@@ -47,15 +45,11 @@ type ProportionalConfig struct {
 // ping-ponging between near-equal servers, because near-zero deviations
 // produce near-zero weight changes.
 type Proportional struct {
-	cfg     ProportionalConfig
-	weights []float64
-	builder *maglev.Builder
-	table   *maglev.Table
-	lat     *core.ServerLatency
+	weightedTable
+	cfg ProportionalConfig
 
 	lastUpdate time.Duration
 	started    bool
-	updates    uint64
 
 	// OnUpdate, when set, observes every table rebuild.
 	OnUpdate func(now time.Duration, weights []float64)
@@ -63,12 +57,6 @@ type Proportional struct {
 
 // NewProportional builds the controller.
 func NewProportional(cfg ProportionalConfig) (*Proportional, error) {
-	if len(cfg.Backends) < 2 {
-		return nil, fmt.Errorf("control: proportional needs >= 2 backends, have %d", len(cfg.Backends))
-	}
-	if cfg.TableSize == 0 {
-		cfg.TableSize = 4093
-	}
 	if cfg.Gain == 0 {
 		cfg.Gain = 0.5
 	}
@@ -77,9 +65,6 @@ func NewProportional(cfg ProportionalConfig) (*Proportional, error) {
 	}
 	if cfg.MinWeight == 0 {
 		cfg.MinWeight = 0.02
-	}
-	if cfg.MinWeight < 0 || cfg.MinWeight*float64(len(cfg.Backends)) >= 1 {
-		return nil, fmt.Errorf("control: min weight %v infeasible for %d backends", cfg.MinWeight, len(cfg.Backends))
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 5 * time.Millisecond
@@ -96,50 +81,15 @@ func NewProportional(cfg ProportionalConfig) (*Proportional, error) {
 	if cfg.Restore < 0 || cfg.Restore > 1 {
 		return nil, fmt.Errorf("control: restore %v outside [0,1]", cfg.Restore)
 	}
-	n := len(cfg.Backends)
-	builder, err := maglev.NewBuilder(cfg.TableSize, cfg.Backends)
+	wt, err := newWeightedTable("proportional", cfg.Backends, cfg.TableSize, cfg.MinWeight, cfg.Latency)
 	if err != nil {
 		return nil, err
 	}
-	p := &Proportional{
-		cfg:     cfg,
-		weights: make([]float64, n),
-		builder: builder,
-		lat:     core.NewServerLatency(n, cfg.Latency),
-	}
-	for i := range p.weights {
-		p.weights[i] = 1.0 / float64(n)
-	}
-	if err := p.rebuild(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return &Proportional{weightedTable: wt, cfg: cfg}, nil
 }
 
 // Name implements Policy.
 func (p *Proportional) Name() string { return "proportional" }
-
-// NumBackends implements Policy.
-func (p *Proportional) NumBackends() int { return len(p.weights) }
-
-// Pick implements Policy.
-func (p *Proportional) Pick(key packet.FlowKey, _ time.Duration) int {
-	return p.table.Lookup(key.Hash())
-}
-
-// Weights returns a copy of the weight vector.
-func (p *Proportional) Weights() []float64 {
-	return append([]float64(nil), p.weights...)
-}
-
-// Updates returns the number of table builds, including the initial one.
-func (p *Proportional) Updates() uint64 { return p.updates }
-
-// Latency exposes the per-server aggregation.
-func (p *Proportional) Latency() *core.ServerLatency { return p.lat }
-
-// FlowClosed implements Policy (affinity is the conntrack's job).
-func (p *Proportional) FlowClosed(int, time.Duration) {}
 
 // ObserveLatency implements Policy.
 func (p *Proportional) ObserveLatency(b int, now, sample time.Duration) {
@@ -245,17 +195,3 @@ func (p *Proportional) step(now time.Duration) {
 		}
 	}
 }
-
-func (p *Proportional) rebuild() error {
-	t, err := p.builder.Build(p.weights)
-	if err != nil {
-		return err
-	}
-	p.table = t
-	p.updates++
-	return nil
-}
-
-// Table implements TableSource: the current (immutable) routing table, for
-// snapshot publication by a Controller.
-func (p *Proportional) Table() *maglev.Table { return p.table }

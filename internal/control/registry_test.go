@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"inbandlb/internal/core"
 )
 
 func testSpec(n int) PolicySpec {
@@ -100,6 +102,44 @@ func TestRegistryDeterministicSeeds(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("pick %d diverged: %d vs %d", i, a[i], b[i])
+		}
+	}
+}
+
+// TestRegistryOptionalInterfaces pins which optional interfaces each
+// registered policy satisfies. Snapshots publish a table and weights, the
+// audit log records weights, and wrappers forward the occupancy binding and
+// the latency view only where these assertions hold, so a policy gaining
+// or losing one changes what those layers see.
+func TestRegistryOptionalInterfaces(t *testing.T) {
+	type latencySource interface {
+		Latency() *core.ServerLatency
+	}
+	want := map[string][4]bool{ // TableSource, Weighted, OccupancyBinder, Latency()
+		"latency-aware": {true, true, false, true},
+		"proportional":  {true, true, false, true},
+		"knapsack":      {true, true, false, true},
+		"maglev":        {true, false, false, false},
+		"p2c":           {false, false, false, false},
+		"wlc":           {false, false, true, true},
+	}
+	for _, name := range PolicyNames() {
+		pol, err := BuildPolicy(name, testSpec(3))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var got [4]bool
+		_, got[0] = pol.(TableSource)
+		_, got[1] = pol.(Weighted)
+		_, got[2] = pol.(OccupancyBinder)
+		_, got[3] = pol.(latencySource)
+		w, ok := want[name]
+		if !ok {
+			t.Errorf("%s: no expectation recorded; add one", name)
+			continue
+		}
+		if got != w {
+			t.Errorf("%s: TableSource/Weighted/OccupancyBinder/Latency = %v, want %v", name, got, w)
 		}
 	}
 }

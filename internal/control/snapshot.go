@@ -152,9 +152,9 @@ func nextAdmitted(admit []uint32, skip int) int {
 }
 
 // TableSource is implemented by policies whose routing state is an
-// immutable Maglev table (MaglevStatic, LatencyAware, Proportional). A
-// Controller wrapping a TableSource serves Pick from published Snapshots
-// instead of taking the policy mutex.
+// immutable Maglev table (MaglevStatic, LatencyAware, Proportional,
+// KnapsackGreedy). A Controller wrapping a TableSource serves Pick from
+// published Snapshots instead of taking the policy mutex.
 type TableSource interface {
 	// Table returns the current routing table. The returned table must be
 	// immutable; the policy replaces (never mutates) it on weight changes.

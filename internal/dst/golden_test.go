@@ -37,42 +37,49 @@ func poolSeeds() []goldenRun {
 // RequestClient moved their monotone event streams onto netsim lanes. The
 // lanes must leave dispatch order, and so every digest, unchanged: the
 // DST counterpart of experiments' TestGoldenDeterminismAcrossQueueRewrite.
+//
+// They were re-recorded once when Controller.Tick began folding every
+// aggregator stripe into one ObserveLatency per backend. Before that the
+// tick fed the policy one call per stripe×backend cell, the stripe count
+// defaulted to GOMAXPROCS, and the old values held only where GOMAXPROCS
+// was 2. The current values equal the old tick's at GOMAXPROCS=1 and hold
+// at every GOMAXPROCS (CI runs this test with -cpu 1,2,4,8).
 var goldenRuns = []goldenRun{
 	// The lbbench sim-dst pool, in poolSeeds order.
-	{45962016734, false, 0x2796289a46aa03c9, 0, 46415},
-	{693298021458, true, 0x78c00ff0e59d95df, 0, 47554},
-	{410267588096, false, 0x050d210c20dde383, 0, 109094},
-	{340669972049, true, 0x098812de6f7467ba, 0, 21487},
-	{1030411375319, false, 0x80da5a1ac3621d19, 0, 62878},
-	{587676839123, true, 0x1e422af49a7cc9b8, 0, 33239},
-	{111488859599, false, 0x2bf5c6928c197729, 0, 64108},
-	{154996524138, true, 0x528b8b452d1b311e, 0, 114089},
-	{447443629766, false, 0xed59575f01544fe0, 0, 56840},
-	{94820475552, true, 0x286419b89c927ba6, 0, 49068},
-	{283003012902, false, 0xe9f780db98006f66, 0, 22297},
-	{1058807243583, true, 0x37a3456a55a0faf3, 0, 68855},
-	{182320591420, false, 0xafd55be6829bdacf, 0, 69463},
-	{907832375030, true, 0x68115a4d03bdcfd6, 0, 94165},
-	{597063942048, false, 0x0df27d08539c2f57, 0, 24040},
-	{1005726405692, true, 0x0b28724f1948234c, 0, 30246},
+	{45962016734, false, 0x7a1b7c04fa2e8e1c, 0, 45746},
+	{693298021458, true, 0xab6886aac2eed5b5, 0, 48438},
+	{410267588096, false, 0x4cdf9356a66427b6, 0, 109281},
+	{340669972049, true, 0x660d94249452d29c, 0, 21412},
+	{1030411375319, false, 0xd11438cf54db7ac6, 0, 62993},
+	{587676839123, true, 0xd826da95066d6b42, 0, 31857},
+	{111488859599, false, 0x9be8ce821b1f28fe, 0, 68825},
+	{154996524138, true, 0x1d07b31dd531dc2c, 0, 113948},
+	{447443629766, false, 0x800d25243dcd74d8, 0, 56737},
+	{94820475552, true, 0x732d8fdc7259d830, 0, 49072},
+	{283003012902, false, 0x9b10fc15929dcf14, 0, 22251},
+	{1058807243583, true, 0xe2c6f4695d0d12d1, 0, 69248},
+	{182320591420, false, 0x3a25b1554b713b43, 0, 69576},
+	{907832375030, true, 0xb29684b9cfe7b940, 0, 94165},
+	{597063942048, false, 0x626e18f6886ce2a7, 0, 24206},
+	{1005726405692, true, 0x0107efc20ae963a7, 0, 30283},
 	// Generate seeds 1–8.
-	{1, false, 0xaf92dcea3731dc76, 0, 64916},
-	{2, false, 0xa03f4fe4c9cc606f, 0, 19657},
-	{3, false, 0xf048e519782e1c55, 0, 99586},
-	{4, false, 0xaf872c1596b84d91, 0, 44853},
-	{5, false, 0xdcc8857888fed972, 0, 35582},
-	{6, false, 0x52eb945bcaf04d4e, 0, 19442},
-	{7, false, 0x99e0bb756f6e6900, 0, 72089},
-	{8, false, 0xb00b978a57a465a4, 0, 103836},
+	{1, false, 0xfc575e030905bccf, 0, 65338},
+	{2, false, 0x0c97bd2a1b46822d, 0, 19090},
+	{3, false, 0x7a06f9b4476614f8, 0, 99127},
+	{4, false, 0x666b07d90f00e72a, 0, 44845},
+	{5, false, 0x4bf9cc39c399040f, 0, 35242},
+	{6, false, 0x1597b1e29663e896, 0, 19478},
+	{7, false, 0x81dff626bac807f9, 0, 72376},
+	{8, false, 0xbb36100afa79371a, 0, 103356},
 	// GenerateCongestion seeds 1–8.
-	{1, true, 0x42be45b5e19322de, 0, 66020},
-	{2, true, 0xa06592716cb595af, 0, 17768},
-	{3, true, 0x8bc27f6b60a31487, 0, 118978},
-	{4, true, 0x0586f826fa10b8ce, 0, 39724},
-	{5, true, 0xcac55e71c72b566f, 0, 35003},
-	{6, true, 0xbd8fbcc1debb4f9f, 0, 19968},
-	{7, true, 0x8bb6d622889f17b1, 0, 70942},
-	{8, true, 0xb8656a8d5f4e9d0f, 0, 124480},
+	{1, true, 0xeef1e12758eaed3f, 0, 68119},
+	{2, true, 0x1350414d626d7f4c, 0, 17760},
+	{3, true, 0x7ea25d4debe9ef04, 0, 118637},
+	{4, true, 0x3c0827b3744eb88c, 0, 39919},
+	{5, true, 0x31e542acbddf3385, 0, 34785},
+	{6, true, 0xed4cc87a5da35c79, 0, 19994},
+	{7, true, 0x147be6076b952021, 0, 71323},
+	{8, true, 0xbfb605b132448e26, 0, 124009},
 }
 
 // TestGoldenPoolMatchesLbbench pins the first 16 golden entries to the

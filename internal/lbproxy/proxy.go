@@ -198,14 +198,11 @@ type Stats struct {
 	// any traffic (whole pool ejected).
 	Dropped uint64
 	// Samples counts estimator outputs; SamplesDelivered those merged into
-	// the policy by controller ticks. SamplesDropped is always zero —
-	// shard aggregation is lossless — and is kept so the accounting
-	// identity Samples == SamplesDelivered + SamplesDropped (which holds
-	// after Close; while relays are hot, up to one tick's worth of samples
-	// is in flight in the aggregator) reads the same as before.
+	// the policy by controller ticks. Shard aggregation is lossless, so
+	// Samples == SamplesDelivered after Close; while relays are hot, up to
+	// one tick's worth of samples is in flight in the aggregator.
 	Samples          uint64
 	SamplesDelivered uint64
-	SamplesDropped   uint64
 	Fallbacks        uint64   // connections rerouted away from an ejected backend
 	Failovers        uint64   // connections rescued by the post-dial-error retry
 	PerBackend       []uint64 // connections routed per backend
@@ -251,7 +248,6 @@ type Proxy struct {
 	fallbacks  atomic.Uint64
 	failovers  atomic.Uint64
 	perBackend []atomic.Uint64
-	down       []atomic.Bool // probe layer's own view (streak bookkeeping)
 	stop       chan struct{}
 
 	// Syscall-diet accounting; see Stats.RelayReads et al.
@@ -322,7 +318,6 @@ func New(cfg Config) (*Proxy, error) {
 		flows:      flows,
 		start:      time.Now(),
 		perBackend: make([]atomic.Uint64, len(cfg.Backends)),
-		down:       make([]atomic.Bool, len(cfg.Backends)),
 		stop:       make(chan struct{}),
 		open:       make(map[net.Conn]struct{}),
 	}
@@ -377,7 +372,6 @@ func (p *Proxy) Stats() Stats {
 		Dropped:          p.dropped.Load(),
 		Samples:          p.samples.Load(),
 		SamplesDelivered: p.ctrl.Delivered(),
-		SamplesDropped:   p.ctrl.Dropped(),
 		Fallbacks:        p.fallbacks.Load(),
 		Failovers:        p.failovers.Load(),
 		PerBackend:       make([]uint64, len(p.perBackend)),
@@ -506,7 +500,7 @@ func (p *Proxy) ListenAndServe(addr string) error {
 // Config.DrainTimeout to finish on their own (graceful drain), force-closes
 // whatever remains, and runs a final controller tick so every aggregated
 // latency sample is merged into the policy (post-Close Stats satisfy
-// Samples == SamplesDelivered + SamplesDropped and the Accepted identity).
+// Samples == SamplesDelivered and the Accepted identity).
 func (p *Proxy) Close() error {
 	if p.closed.Swap(true) {
 		p.ctrl.Close() // idempotent; runs the final flush tick
@@ -839,16 +833,14 @@ func (p *Proxy) probeLoop() {
 			conn, err := p.dial(addr, p.cfg.HealthTimeout)
 			if err != nil {
 				oks[i] = 0
-				if fails[i]++; fails[i] >= p.cfg.HealthFailThreshold && !p.down[i].Load() {
-					p.down[i].Store(true)
+				if fails[i]++; fails[i] >= p.cfg.HealthFailThreshold {
 					p.ctrl.SetEjected(i, true)
 				}
 				continue
 			}
 			_ = conn.Close()
 			fails[i] = 0
-			if oks[i]++; oks[i] >= p.cfg.HealthRecoverThreshold && p.down[i].Load() {
-				p.down[i].Store(false)
+			if oks[i]++; oks[i] >= p.cfg.HealthRecoverThreshold {
 				p.ctrl.SetEjected(i, false)
 			}
 		}

@@ -170,9 +170,9 @@ func TestProxyRelayDifferential(t *testing.T) {
 		t.Logf("%s: ok ops %d, faulted conns %d, client median %.2fms, estimates %v ms, samples %d, splices %d, perBackend %v",
 			name, leg.okOps, leg.failed, leg.clientMs, leg.latencies, st.Samples, st.RelaySplices, st.PerBackend)
 		assertIdentity(t, st)
-		if st.Samples != st.SamplesDelivered || st.SamplesDropped != 0 {
-			t.Errorf("%s: samples %d, delivered %d, dropped %d after Close",
-				name, st.Samples, st.SamplesDelivered, st.SamplesDropped)
+		if st.Samples != st.SamplesDelivered {
+			t.Errorf("%s: samples %d, delivered %d after Close",
+				name, st.Samples, st.SamplesDelivered)
 		}
 		if st.Samples == 0 {
 			t.Errorf("%s: no estimator samples", name)

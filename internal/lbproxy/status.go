@@ -27,20 +27,15 @@ type StatusSnapshot struct {
 	// stateful policies that route under the mutex instead of a snapshot.
 	SnapshotGeneration uint64 `json:"snapshot_generation"`
 	// Weights is present for weight-based policies (latency-aware,
-	// proportional); nil otherwise.
+	// proportional, knapsack); nil otherwise.
 	Weights []float64 `json:"weights,omitempty"`
 	// LatenciesMs is the per-backend EWMA latency in milliseconds for
 	// policies that expose one; nil otherwise.
 	LatenciesMs []float64 `json:"latencies_ms,omitempty"`
 }
 
-// weighted is implemented by policies that expose a weight vector.
-type weighted interface {
-	Weights() []float64
-}
-
 // latencied is implemented by policies that expose per-server latency
-// aggregation (LatencyAware, Proportional).
+// aggregation (LatencyAware, Proportional, KnapsackGreedy, WLC).
 type latencied interface {
 	Latency() *core.ServerLatency
 }
@@ -60,7 +55,7 @@ func (p *Proxy) Snapshot() StatusSnapshot {
 	// Policy state is read under the controller's serialization lock so the
 	// snapshot cannot race a control tick.
 	p.ctrl.Do(func(pol control.Policy) {
-		if w, ok := pol.(weighted); ok {
+		if w, ok := pol.(control.Weighted); ok {
 			snap.Weights = w.Weights()
 		}
 		if l, ok := pol.(latencied); ok {

@@ -28,7 +28,7 @@ delta_out="$out_dir/BENCH_${rev}.delta.txt"
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
-pattern='BenchmarkLBPacketPath$|BenchmarkEstimatorPerPacket$|BenchmarkSharedLadderPerPacket$|BenchmarkFig2|BenchmarkProxyConcurrentConns|BenchmarkProxyDietConcurrentConns|BenchmarkProxySpliceRelay|BenchmarkProxyPooledDial|BenchmarkAcceptShardParallel|BenchmarkFlowTableParallel|BenchmarkMeasurementPathParallel|BenchmarkPickParallel|BenchmarkMaglevRebuild|BenchmarkLatencyAwareObserve|BenchmarkControllerObserveSharded|BenchmarkDSTPool$'
+pattern='BenchmarkLBPacketPath$|BenchmarkEstimatorPerPacket$|BenchmarkSharedLadderPerPacket$|BenchmarkFig2|BenchmarkProxyConcurrentConns|BenchmarkProxyDietConcurrentConns|BenchmarkProxySpliceRelay|BenchmarkProxyPooledDial|BenchmarkAcceptShardParallel|BenchmarkFlowTableObserve|BenchmarkFlowTableParallel|BenchmarkMeasurementPathParallel|BenchmarkPickParallel|BenchmarkMaglevRebuild|BenchmarkLatencyAwareObserve|BenchmarkControllerObserveSharded|BenchmarkDSTPool$'
 
 go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" . ./internal/perf ./internal/dst | tee "$raw"
 
